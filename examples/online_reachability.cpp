@@ -3,8 +3,8 @@
 // reachability queries against one mostly-static graph. Instead of
 // materializing the transitive closure (the paper's offline CTC/PTC
 // regime), a ReachService builds O(1) labels once and serves queries from
-// them, falling back to a bounded search and, last, to the paper's SRCH
-// machinery for the rare undecidable pair.
+// them, falling back to a label-pruned search for the rare pair the
+// labels leave undecided.
 //
 //   ./examples/online_reachability [num_nodes] [avg_degree] [num_queries]
 

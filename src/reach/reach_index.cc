@@ -328,15 +328,15 @@ ReachIndex::Verdict ReachIndex::PrunedBfs(const Digraph& dag, NodeId u,
   return result;
 }
 
-bool ReachIndex::PrunedMultiBfs(const Digraph& dag, NodeId u,
+void ReachIndex::PrunedMultiBfs(const Digraph& dag, NodeId u,
                                 std::span<const NodeId> targets,
-                                int64_t budget, std::vector<bool>* reached,
+                                std::vector<bool>* reached,
                                 SearchScratch* scratch,
                                 int64_t* expansions) const {
   TCDB_DCHECK(dag.NumNodes() == num_nodes());
   reached->assign(targets.size(), false);
   if (expansions != nullptr) *expansions = 0;
-  if (targets.empty()) return true;
+  if (targets.empty()) return;
   PrepareScratch(scratch, static_cast<size_t>(num_nodes()));
   EpochSet& visited = scratch->visited;
   std::vector<NodeId>& frontier = scratch->frontier;
@@ -358,12 +358,7 @@ bool ReachIndex::PrunedMultiBfs(const Digraph& dag, NodeId u,
   frontier.push_back(u);
   visited.Insert(static_cast<size_t>(u));
   int64_t expanded = 0;
-  bool complete = true;
   while (!frontier.empty() && remaining > 0) {
-    if (expanded >= budget) {
-      complete = false;
-      break;
-    }
     const NodeId w = frontier.back();
     frontier.pop_back();
     ++expanded;
@@ -383,7 +378,6 @@ bool ReachIndex::PrunedMultiBfs(const Digraph& dag, NodeId u,
   }
   for (const NodeId t : targets) target_slot[t] = -1;
   if (expansions != nullptr) *expansions = expanded;
-  return complete || remaining == 0;
 }
 
 namespace {

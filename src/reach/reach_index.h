@@ -18,8 +18,8 @@
 namespace tcdb {
 
 // The rung of the serving ladder that decided a reachability query. The
-// stages through kObservation are O(1) label lookups; pruned BFS and the
-// session are the fallbacks for the residue the labels leave undecided.
+// stages through kChainFrontier are O(1) label lookups; pruned BFS is the
+// static fallback for the residue the labels leave undecided.
 enum class ReachStage {
   kCache = 0,           // LRU answer cache hit (ReachService only)
   kTrivial,             // u == v, or u and v share a strongly connected
@@ -35,8 +35,10 @@ enum class ReachStage {
                         // extra orders, levels, cuts, traffic pivots
   kChainFrontier,       // chain-decomposition frontier labels (the kChain
                         // backend; exact, so always definitive)
-  kPrunedBfs,           // bounded interval-pruned BFS fallback
-  kSessionFallback,     // TcSession SRCH query (the closure machinery)
+  kPrunedBfs,           // label-pruned BFS fallback
+  kSessionFallback,     // retired: the former TcSession SRCH rung. Kept
+                        // (name and position) for readers of the stage
+                        // table; nothing decides at it any more.
   kIncremental,         // dynamic: decided by the incrementally maintained
                         // per-pivot reachability trees (exact on the live
                         // graph at the current epoch)
@@ -53,8 +55,8 @@ const char* ReachStageName(ReachStage stage);
 
 // Which label structure a ReachCore builds over the condensation.
 enum class ReachBackend : uint8_t {
-  // The partial O(1) rules below plus the BFS/session fallback ladder —
-  // the default, tuned for the paper-scale graphs.
+  // The partial O(1) rules below plus the pruned-BFS fallback — the
+  // default, tuned for the paper-scale graphs.
   kLabels = 0,
   // scale/chain_index.h frontier labels: exact O(1) answers, ~O(n + m*k)
   // build, n*k label bytes. The million-node backend; no fallback rungs
@@ -100,8 +102,7 @@ struct ReachIndexOptions {
 //   - `num_supportive` pivot bit-sets (definite "yes" through a pivot,
 //     definite "no" when a pivot separates the pair).
 // The labels decide the vast majority of random queries; the undecided
-// residue goes to PrunedBfs() and, beyond a budget, to the caller's
-// closure-based fallback (see ReachService).
+// residue goes to PrunedBfs()/PrunedMultiBfs() (see ReachService).
 //
 // Thread safety: a built index is immutable, so TryDecide and the label
 // accessors may run from any number of threads concurrently; the BFS
@@ -147,14 +148,12 @@ class ReachIndex {
 
   // Multi-target variant for batched serving: one search resolves
   // reachability from `u` to every node of `targets` (deduplicated, none
-  // equal to `u`). (*reached)[i] is set for reachable targets[i]. Returns
-  // true when the results are definitive (all targets found, or the
-  // pruned frontier exhausted within `budget`); false when the budget ran
-  // out first, in which case unset entries are merely undecided.
-  bool PrunedMultiBfs(const Digraph& dag, NodeId u,
-                      std::span<const NodeId> targets, int64_t budget,
-                      std::vector<bool>* reached,
-                      SearchScratch* scratch,
+  // equal to `u`). The search runs until every target is found or the
+  // pruned frontier is exhausted, so (*reached)[i] is definitive:
+  // set exactly when targets[i] is reachable.
+  void PrunedMultiBfs(const Digraph& dag, NodeId u,
+                      std::span<const NodeId> targets,
+                      std::vector<bool>* reached, SearchScratch* scratch,
                       int64_t* expansions = nullptr) const;
 
   NodeId num_nodes() const {

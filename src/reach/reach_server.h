@@ -20,14 +20,12 @@
 namespace tcdb {
 
 struct ReachServerOptions {
-  // Per-shard serving parameters (answer-cache capacity, BFS budget,
-  // fallback-session execution options). `service.index` configures the
-  // one shared label build.
+  // Per-shard serving parameters (answer-cache capacity).
+  // `service.index` configures the one shared label build.
   ReachServiceOptions service;
   // Shards double as workers: each shard owns one ReachService (private
-  // LRU cache, BFS scratch, stats, and a lazily opened fallback session
-  // with its own buffer pool) and one dedicated worker thread, so no
-  // query-path state is ever touched by two threads.
+  // LRU cache, BFS scratch and stats) and one dedicated worker thread, so
+  // no query-path state is ever touched by two threads.
   int32_t num_shards = 4;
   // Bound on queued tasks per shard. Submitters block while the target
   // shard's queue is full — backpressure propagates to callers instead of
@@ -54,13 +52,14 @@ struct ReachServerStats {
   int64_t published_epoch = 0;
 };
 
-// Multi-threaded serving layer over one shared reachability index.
+// Multi-threaded serving layer over one shared reachability index. Every
+// shard serves the ReachService ladder — cache -> O(1) labels ->
+// adjacency -> battery -> pruned BFS — entirely in memory.
 //
 // Threading model (see DESIGN.md §10): a single immutable ReachCore (the
 // condensation + O(1) labels) is shared read-only by N shards. Each shard
 // owns all of its mutable state — a ReachService with its private answer
-// cache, pruned-BFS scratch, statistics, and fallback TcSession with its
-// own simulated disk and buffer pool — and is drained by exactly one
+// cache, pruned-BFS scratch and statistics — and is drained by exactly one
 // worker thread, so the query path is lock-free once a task is dequeued
 // and there is no cross-shard synchronization at all on the hot path.
 //

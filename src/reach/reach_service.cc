@@ -193,7 +193,6 @@ std::unique_ptr<ReachService> ReachService::Create(
   TCDB_CHECK(core != nullptr);
   auto service = std::unique_ptr<ReachService>(new ReachService());
   service->core_ = std::move(core);
-  service->options_ = options;
   service->cache_ = ReachAnswerCache(options.cache_capacity);
   return service;
 }
@@ -209,12 +208,10 @@ Status ReachService::AdoptCore(std::shared_ptr<const ReachCore> core) {
         std::to_string(core_->num_input_nodes) + ")");
   }
   core_ = std::move(core);
-  // Cached answers, BFS scratch sizing, and the fallback session's private
-  // closure state were all derived from the old core; none may leak into
-  // queries against the new one.
+  // Cached answers and the BFS scratch sizing were derived from the old
+  // core; neither may leak into queries against the new one.
   cache_.BumpGeneration();
   scratch_ = ReachIndex::SearchScratch();
-  session_.reset();
   return Status::Ok();
 }
 
@@ -294,74 +291,20 @@ Result<ReachService::Answer> ReachService::Query(NodeId src, NodeId dst) {
                   NowSeconds() - start);
     return answer;
   }
-  TCDB_ASSIGN_OR_RETURN(answer,
-                        ServeFallback(core_->node_map[src], core_->node_map[dst]));
+  // The residue: one unbounded label-pruned BFS gives a definite answer.
+  int64_t expansions = 0;
+  const ReachIndex::Verdict verdict = core_->index.PrunedBfs(
+      core_->dag, core_->node_map[src], core_->node_map[dst],
+      std::numeric_limits<int64_t>::max(), &scratch_, &expansions);
+  stats_.bfs_expansions += expansions;
+  TCDB_CHECK(verdict != ReachIndex::Verdict::kUnknown);
+  answer = {verdict == ReachIndex::Verdict::kYes, ReachStage::kPrunedBfs};
   if (cache_.Insert(src, dst, answer.reachable)) {
     ++stats_.cache_insertions;
   }
   stats_.Record(answer.stage, ReachRule::kFallback, answer.reachable,
                 NowSeconds() - start);
   return answer;
-}
-
-Result<ReachService::Answer> ReachService::ServeFallback(NodeId csrc,
-                                                         NodeId cdst) {
-  if (options_.bfs_budget > 0) {
-    int64_t expansions = 0;
-    const ReachIndex::Verdict verdict = core_->index.PrunedBfs(
-        core_->dag, csrc, cdst, options_.bfs_budget, &scratch_, &expansions);
-    stats_.bfs_expansions += expansions;
-    if (verdict != ReachIndex::Verdict::kUnknown) {
-      return Answer{verdict == ReachIndex::Verdict::kYes,
-                    ReachStage::kPrunedBfs};
-    }
-  }
-  if (options_.session_fallback) {
-    TCDB_ASSIGN_OR_RETURN(const std::vector<NodeId> successors,
-                          SessionSuccessors(csrc));
-    const bool reachable =
-        std::binary_search(successors.begin(), successors.end(), cdst);
-    return Answer{reachable, ReachStage::kSessionFallback};
-  }
-  // No session: finish the job with an unbounded pruned BFS.
-  int64_t expansions = 0;
-  const ReachIndex::Verdict verdict = core_->index.PrunedBfs(
-      core_->dag, csrc, cdst, std::numeric_limits<int64_t>::max(),
-      &scratch_, &expansions);
-  stats_.bfs_expansions += expansions;
-  TCDB_CHECK(verdict != ReachIndex::Verdict::kUnknown);
-  return Answer{verdict == ReachIndex::Verdict::kYes,
-                ReachStage::kPrunedBfs};
-}
-
-Result<std::vector<NodeId>> ReachService::SessionSuccessors(NodeId csrc) {
-  if (session_ == nullptr) {
-    TcSession::SessionOptions session_options;
-    session_options.exec = options_.session_exec;
-    session_options.exec.capture_answer = true;
-    session_options.keep_cache_warm = true;
-    TCDB_ASSIGN_OR_RETURN(
-        session_, TcSession::Open(core_->dag.ToArcs(), core_->dag.NumNodes(),
-                                  session_options));
-  }
-  TCDB_ASSIGN_OR_RETURN(
-      RunResult run,
-      session_->Query(Algorithm::kSrch, QuerySpec::Partial({csrc})));
-  ++stats_.session_queries;
-  return ExtractSessionSuccessors(std::move(run), csrc);
-}
-
-Result<std::vector<NodeId>> ExtractSessionSuccessors(RunResult run,
-                                                     NodeId csrc) {
-  for (auto& [node, successors] : run.answer) {
-    if (node == csrc) return std::move(successors);
-  }
-  // A missing source means the session ran without capture_answer or the
-  // answer got filtered upstream. Surface the bug instead of serving
-  // "reaches nothing" for a node that may reach half the graph.
-  return Status::Internal("SRCH answer is missing queried source " +
-                          std::to_string(csrc) +
-                          "; refusing to treat it as an empty successor list");
 }
 
 Result<std::vector<ReachService::Answer>> ReachService::QueryBatch(
@@ -415,35 +358,12 @@ Result<std::vector<ReachService::Answer>> ReachService::QueryBatch(
       target_indices[it->second].push_back(i);
     }
 
+    // One unbounded pruned BFS decides every target of the group.
     std::vector<bool> reached;
-    bool definitive = false;
-    ReachStage stage = ReachStage::kPrunedBfs;
-    if (options_.bfs_budget > 0) {
-      int64_t expansions = 0;
-      definitive = core_->index.PrunedMultiBfs(core_->dag, csrc, targets,
-                                               options_.bfs_budget, &reached,
-                                               &scratch_, &expansions);
-      stats_.bfs_expansions += expansions;
-    }
-    if (!definitive) {
-      if (options_.session_fallback) {
-        TCDB_ASSIGN_OR_RETURN(const std::vector<NodeId> successors,
-                              SessionSuccessors(csrc));
-        reached.assign(targets.size(), false);
-        for (size_t t = 0; t < targets.size(); ++t) {
-          reached[t] = std::binary_search(successors.begin(),
-                                          successors.end(), targets[t]);
-        }
-        stage = ReachStage::kSessionFallback;
-      } else {
-        int64_t expansions = 0;
-        definitive = core_->index.PrunedMultiBfs(
-            core_->dag, csrc, targets, std::numeric_limits<int64_t>::max(),
-            &reached, &scratch_, &expansions);
-        stats_.bfs_expansions += expansions;
-        TCDB_CHECK(definitive);
-      }
-    }
+    int64_t expansions = 0;
+    core_->index.PrunedMultiBfs(core_->dag, csrc, targets, &reached,
+                                &scratch_, &expansions);
+    stats_.bfs_expansions += expansions;
 
     // The group's latency — fallback work plus the pass-1 time its
     // queries already spent — is shared evenly across its queries.
@@ -453,12 +373,12 @@ Result<std::vector<ReachService::Answer>> ReachService::QueryBatch(
         group_seconds / static_cast<double>(indices.size());
     for (size_t t = 0; t < targets.size(); ++t) {
       for (const size_t i : target_indices[t]) {
-        answers[i] = {reached[t], stage};
+        answers[i] = {reached[t], ReachStage::kPrunedBfs};
         if (cache_.Insert(pairs[i].first, pairs[i].second, reached[t])) {
           ++stats_.cache_insertions;
         }
-        stats_.Record(stage, ReachRule::kFallback, reached[t],
-                      per_query_seconds);
+        stats_.Record(ReachStage::kPrunedBfs, ReachRule::kFallback,
+                      reached[t], per_query_seconds);
       }
     }
   }

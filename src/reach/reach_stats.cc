@@ -46,7 +46,7 @@ void ReachStats::Print(std::ostream& out) const {
     out << " (" << 100.0 * DecidedWithoutFallback() / queries << "%)";
   }
   out << "\ncache insertions " << cache_insertions << ", BFS expansions "
-      << bfs_expansions << ", SRCH fallback runs " << session_queries << "\n";
+      << bfs_expansions << "\n";
 }
 
 std::string ReachStats::ToString() const {

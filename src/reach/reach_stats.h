@@ -37,7 +37,9 @@ struct ReachStats {
 
   int64_t cache_insertions = 0;
   int64_t bfs_expansions = 0;    // total pruned-BFS node expansions
-  int64_t session_queries = 0;   // SRCH runs issued by the fallback
+  // Retired with the SRCH-session rung: always 0, kept for readers of the
+  // field.
+  int64_t session_queries = 0;
 
   void Record(ReachStage stage, bool reachable, double elapsed_seconds) {
     ++queries;
@@ -67,11 +69,14 @@ struct ReachStats {
                               static_cast<double>(queries);
   }
 
-  // Queries the O(1) labels (or the cache) answered — everything except
-  // the pruned-BFS and session rungs.
+  // Queries answered without a search: everything except the static
+  // pruned BFS, the retired session rung and the dynamic search tiers
+  // (overlay-patched, live BFS).
   int64_t DecidedWithoutFallback() const {
     return queries - Decided(ReachStage::kPrunedBfs) -
-           Decided(ReachStage::kSessionFallback);
+           Decided(ReachStage::kSessionFallback) -
+           Decided(ReachStage::kOverlayPatched) -
+           Decided(ReachStage::kLiveBfs);
   }
 
   double TotalSeconds() const {

@@ -20,6 +20,7 @@
 #include "dynamic/mutation_stress.h"
 #include "graph/algorithms.h"
 #include "graph/generator.h"
+#include "util/random.h"
 
 namespace tcdb {
 namespace {
@@ -233,6 +234,52 @@ TEST(DynamicReachServiceTest, ZeroBudgetEscalatesNonEmptyOverlay) {
   EXPECT_TRUE(MustQuery(service.get(), 0, 2, &stage));
   EXPECT_EQ(stage, ReachStage::kLiveBfs);
   EXPECT_EQ(service->stats().escalations, 1);
+}
+
+// Regression: ReachStats::DecidedWithoutFallback subtracted only the
+// static pruned-BFS and session stages, so a dynamic trace whose queries
+// ran the overlay-patched and live-BFS searches still read "decided
+// without fallback 100%". Every search tier must count as a fallback.
+TEST(DynamicReachServiceTest, SearchTiersCountAsFallback) {
+  const GeneratorParams params{300, 4, 60, 5};
+  ArcList live = GenerateDag(params);
+  auto log = MustOpen(live, params.num_nodes);
+  auto service = MustCreate(log.get(), LegacyLadder());
+  Rng rng(17);
+  int64_t searched = 0;
+  int64_t escalated = 0;
+  for (int op = 0; op < 3000; ++op) {
+    const int64_t roll = rng.Uniform(0, 19);
+    if (roll == 0 && !live.empty()) {
+      const size_t pick = static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(live.size()) - 1));
+      ASSERT_TRUE(service->DeleteArc(live[pick].src, live[pick].dst).ok());
+      live[pick] = live.back();
+      live.pop_back();
+      continue;
+    }
+    const NodeId u =
+        static_cast<NodeId>(rng.Uniform(0, params.num_nodes - 1));
+    const NodeId v =
+        static_cast<NodeId>(rng.Uniform(0, params.num_nodes - 1));
+    if (roll == 1 && u < v && !log->HasArc(u, v)) {
+      ASSERT_TRUE(service->InsertArc(u, v).ok());
+      live.push_back({u, v});
+      continue;
+    }
+    ReachStage stage;
+    MustQuery(service.get(), u, v, &stage);
+    if (stage == ReachStage::kPrunedBfs ||
+        stage == ReachStage::kOverlayPatched ||
+        stage == ReachStage::kLiveBfs) {
+      ++searched;
+    }
+    if (stage == ReachStage::kLiveBfs) ++escalated;
+  }
+  ASSERT_GT(escalated, 0) << "the trace never escalated to a live BFS";
+  const ReachStats& stats = service->serving_stats();
+  EXPECT_EQ(stats.queries - stats.DecidedWithoutFallback(), searched);
+  EXPECT_LT(stats.DecidedWithoutFallback(), stats.queries);
 }
 
 TEST(DynamicReachServiceTest, MutationInvalidatesCachedAnswer) {

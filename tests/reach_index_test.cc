@@ -2,7 +2,7 @@
 // answers are cross-checked against ground truth from the in-memory oracle
 // closure, a TcSession SRCH run, and ComputeReduction closure sizes, over
 // the paper's F x l generator grid — including the batched and warm-cache
-// serving paths and every rung of the fallback ladder.
+// serving paths and the pruned-BFS fallback rung.
 
 #include <gtest/gtest.h>
 
@@ -92,7 +92,7 @@ TEST(ReachDifferentialTest, AgreesWithOracleAcrossFamilies) {
       aggregate.queries += stats.queries;
     }
     // Acceptance: the O(1) labels decide > 80% of queries per family
-    // (fallbacks are the pruned BFS and the SRCH session).
+    // (the fallback is the pruned BFS).
     EXPECT_GT(aggregate.DecidedWithoutFallback(),
               (aggregate.queries * 8) / 10)
         << "F=" << family.avg_out_degree << " l=" << family.locality
@@ -136,10 +136,8 @@ TEST(ReachDifferentialTest, BatchMatchesOracleAndWarmCacheRepeats) {
     for (size_t i = 0; i < queries.size(); ++i) {
       EXPECT_EQ(warm.value()[i].reachable, batch.value()[i].reachable);
       const ReachStage first = batch.value()[i].stage;
-      const bool was_fallback = first == ReachStage::kPrunedBfs ||
-                                first == ReachStage::kSessionFallback;
       EXPECT_EQ(warm.value()[i].stage,
-                was_fallback ? ReachStage::kCache : first)
+                first == ReachStage::kPrunedBfs ? ReachStage::kCache : first)
           << "warm query " << i;
       if (warm.value()[i].stage == ReachStage::kCache) ++cache_hits;
     }
@@ -236,50 +234,70 @@ TEST(ReachDifferentialTest, CyclicInputsServeOnTheCondensation) {
 }
 
 // Every rung configuration produces the same (correct) answers; the
-// session rung actually fires when the cheaper rungs are disabled.
+// pruned-BFS rung actually fires when the supportive labels are off.
 TEST(ReachFallbackLadderTest, AllConfigurationsAgreeWithOracle) {
   const GeneratorParams params{250, 5, 100, 19};
   const ArcList arcs = GenerateDag(params);
   const Digraph graph(params.num_nodes, arcs);
   const std::vector<std::vector<NodeId>> closure = ReferenceClosure(graph);
 
-  ReachServiceOptions srch_only;  // no BFS, no supportive labels, no cache
-  srch_only.bfs_budget = 0;
-  srch_only.index.num_supportive = 0;
-  srch_only.cache_capacity = 0;
+  ReachServiceOptions bfs_heavy;  // no supportive labels, no cache
+  bfs_heavy.index.num_supportive = 0;
+  bfs_heavy.cache_capacity = 0;
 
-  ReachServiceOptions bfs_only;  // no session: unbounded BFS finishes
-  bfs_only.session_fallback = false;
-  bfs_only.bfs_budget = 4;  // force the budgeted pass to give up sometimes
-  bfs_only.index.num_supportive = 0;
+  ReachServiceOptions battery;  // the observation rung ahead of the BFS
+  battery.index.num_supportive = 0;
+  battery.index.oreach = true;
 
   ReachServiceOptions defaults;
 
-  for (const ReachServiceOptions& options :
-       {srch_only, bfs_only, defaults}) {
+  const auto queries = MakeQueries(arcs, params.num_nodes, 5);
+  for (const ReachServiceOptions& options : {bfs_heavy, battery, defaults}) {
     auto service = ReachService::Build(arcs, params.num_nodes, options);
     ASSERT_TRUE(service.ok());
-    const auto queries = MakeQueries(arcs, params.num_nodes, 5);
     for (const auto& [u, v] : queries) {
       auto answer = service.value()->Query(u, v);
       ASSERT_TRUE(answer.ok());
       EXPECT_EQ(answer.value().reachable, OracleReaches(closure, u, v));
     }
+    auto batch = service.value()->QueryBatch(queries);
+    ASSERT_TRUE(batch.ok());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(batch.value()[i].reachable,
+                OracleReaches(closure, queries[i].first, queries[i].second))
+          << "batch query " << i;
+    }
   }
 
-  auto srch_service =
-      ReachService::Build(arcs, params.num_nodes, srch_only);
-  ASSERT_TRUE(srch_service.ok());
+  auto bfs_service = ReachService::Build(arcs, params.num_nodes, bfs_heavy);
+  ASSERT_TRUE(bfs_service.ok());
   // The diamond residue: with supportive labels off, some pair needs the
-  // SRCH rung.
-  const auto queries = MakeQueries(arcs, params.num_nodes, 5);
-  auto batch = srch_service.value()->QueryBatch(queries);
+  // pruned-BFS rung, and nothing reaches the retired session rung.
+  auto batch = bfs_service.value()->QueryBatch(queries);
   ASSERT_TRUE(batch.ok());
-  EXPECT_GT(srch_service.value()
-                ->stats()
-                .Decided(ReachStage::kSessionFallback),
-            0);
-  EXPECT_GT(srch_service.value()->stats().session_queries, 0);
+  const ReachStats& stats = bfs_service.value()->stats();
+  EXPECT_GT(stats.Decided(ReachStage::kPrunedBfs), 0);
+  EXPECT_GT(stats.bfs_expansions, 0);
+  EXPECT_EQ(stats.Decided(ReachStage::kSessionFallback), 0);
+  EXPECT_EQ(stats.session_queries, 0);
+}
+
+// A pair from MakeQueries(seed 5) on `arcs` that only the pruned-BFS rung
+// decides when the supportive labels are off; {-1, -1} if none does.
+std::pair<NodeId, NodeId> FindPrunedBfsPair(const ArcList& arcs,
+                                            NodeId num_nodes) {
+  ReachServiceOptions options;
+  options.index.num_supportive = 0;
+  options.cache_capacity = 0;
+  auto probe = ReachService::Build(arcs, num_nodes, options);
+  if (!probe.ok()) return {-1, -1};
+  for (const auto& [u, v] : MakeQueries(arcs, num_nodes, 5)) {
+    auto answer = probe.value()->Query(u, v);
+    if (answer.ok() && answer.value().stage == ReachStage::kPrunedBfs) {
+      return {u, v};
+    }
+  }
+  return {-1, -1};
 }
 
 // Regression: cache_insertions used to count every Insert() call, even
@@ -288,6 +306,8 @@ TEST(ReachFallbackLadderTest, AllConfigurationsAgreeWithOracle) {
 TEST(ReachServiceTest, CacheInsertionsCountOnlyStoredEntries) {
   const GeneratorParams params{250, 5, 100, 19};
   const ArcList arcs = GenerateDag(params);
+  const Digraph graph(params.num_nodes, arcs);
+  const std::vector<std::vector<NodeId>> closure = ReferenceClosure(graph);
 
   // Caching disabled: nothing can be stored, so nothing may be counted.
   ReachServiceOptions no_cache;
@@ -304,45 +324,25 @@ TEST(ReachServiceTest, CacheInsertionsCountOnlyStoredEntries) {
 
   // A duplicated fallback pair in one batch resolves as one group; the
   // second Insert refreshes the first and must not be counted.
-  ReachServiceOptions srch_only;
-  srch_only.bfs_budget = 0;
-  srch_only.index.num_supportive = 0;
-  auto probe = ReachService::Build(arcs, params.num_nodes, srch_only);
-  ASSERT_TRUE(probe.ok());
-  std::pair<NodeId, NodeId> fallback_pair{-1, -1};
-  for (const auto& [u, v] : queries) {
-    auto answer = probe.value()->Query(u, v);
-    ASSERT_TRUE(answer.ok());
-    if (answer.value().stage == ReachStage::kSessionFallback) {
-      fallback_pair = {u, v};
-      break;
-    }
-  }
-  ASSERT_GE(fallback_pair.first, 0) << "no query needed the session rung";
+  const std::pair<NodeId, NodeId> fallback_pair =
+      FindPrunedBfsPair(arcs, params.num_nodes);
+  ASSERT_GE(fallback_pair.first, 0) << "no query needed the pruned-BFS rung";
 
-  auto service = ReachService::Build(arcs, params.num_nodes, srch_only);
+  ReachServiceOptions bfs_heavy;
+  bfs_heavy.index.num_supportive = 0;
+  auto service = ReachService::Build(arcs, params.num_nodes, bfs_heavy);
   ASSERT_TRUE(service.ok());
   const std::vector<std::pair<NodeId, NodeId>> twice = {fallback_pair,
                                                         fallback_pair};
   auto batch = service.value()->QueryBatch(twice);
   ASSERT_TRUE(batch.ok());
+  const bool expected =
+      OracleReaches(closure, fallback_pair.first, fallback_pair.second);
+  for (const ReachService::Answer& answer : batch.value()) {
+    EXPECT_EQ(answer.stage, ReachStage::kPrunedBfs);
+    EXPECT_EQ(answer.reachable, expected);
+  }
   EXPECT_EQ(service.value()->stats().cache_insertions, 1);
-}
-
-// Regression: a SRCH answer that does not cover the queried source used to
-// be served as an empty successor list — i.e. "reaches nothing" — instead
-// of surfacing the internal inconsistency.
-TEST(ReachServiceTest, MissingSessionAnswerIsAnInternalError) {
-  RunResult run;
-  run.answer.emplace_back(3, std::vector<NodeId>{4, 5});
-
-  auto found = ExtractSessionSuccessors(run, 3);
-  ASSERT_TRUE(found.ok());
-  EXPECT_EQ(found.value(), (std::vector<NodeId>{4, 5}));
-
-  auto missing = ExtractSessionSuccessors(std::move(run), 7);
-  ASSERT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), StatusCode::kInternal);
 }
 
 // Regression: QueryBatch timed each pass-1 classification but threw the
@@ -354,26 +354,17 @@ TEST(ReachServiceTest, MissingSessionAnswerIsAnInternalError) {
 TEST(ReachServiceTest, BatchLatencyIncludesPassOneClassification) {
   const GeneratorParams params{250, 5, 100, 19};
   const ArcList arcs = GenerateDag(params);
+  const Digraph graph(params.num_nodes, arcs);
+  const std::vector<std::vector<NodeId>> closure = ReferenceClosure(graph);
 
-  ReachServiceOptions srch_only;
-  srch_only.bfs_budget = 0;
-  srch_only.index.num_supportive = 0;
-  srch_only.cache_capacity = 0;
+  const std::pair<NodeId, NodeId> fallback_pair =
+      FindPrunedBfsPair(arcs, params.num_nodes);
+  ASSERT_GE(fallback_pair.first, 0) << "no query needed the pruned-BFS rung";
 
-  auto probe = ReachService::Build(arcs, params.num_nodes, srch_only);
-  ASSERT_TRUE(probe.ok());
-  std::pair<NodeId, NodeId> fallback_pair{-1, -1};
-  for (const auto& [u, v] : MakeQueries(arcs, params.num_nodes, 5)) {
-    auto answer = probe.value()->Query(u, v);
-    ASSERT_TRUE(answer.ok());
-    if (answer.value().stage == ReachStage::kSessionFallback) {
-      fallback_pair = {u, v};
-      break;
-    }
-  }
-  ASSERT_GE(fallback_pair.first, 0) << "no query needed the session rung";
-
-  auto service = ReachService::Build(arcs, params.num_nodes, srch_only);
+  ReachServiceOptions bfs_heavy;
+  bfs_heavy.index.num_supportive = 0;
+  bfs_heavy.cache_capacity = 0;
+  auto service = ReachService::Build(arcs, params.num_nodes, bfs_heavy);
   ASSERT_TRUE(service.ok());
   double ticks = 0.0;
   service.value()->SetClockForTesting([&ticks] { return ticks += 1.0; });
@@ -381,7 +372,9 @@ TEST(ReachServiceTest, BatchLatencyIncludesPassOneClassification) {
   const std::vector<std::pair<NodeId, NodeId>> one = {fallback_pair};
   auto batch = service.value()->QueryBatch(one);
   ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(batch.value()[0].stage, ReachStage::kSessionFallback);
+  EXPECT_EQ(batch.value()[0].stage, ReachStage::kPrunedBfs);
+  EXPECT_EQ(batch.value()[0].reachable,
+            OracleReaches(closure, fallback_pair.first, fallback_pair.second));
   EXPECT_DOUBLE_EQ(service.value()->stats().TotalSeconds(), 2.0);
 }
 

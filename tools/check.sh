@@ -109,6 +109,14 @@ cmake --build "$SAN_DIR" -j "$(nproc)" --target oreach_battery_test
 "$SAN_DIR"/tools/tcdb_cli workload-bench gen:600,4,120,9 \
     --workload mixed --queries 5000 --seed 2 --check 600
 
+# --- Sanitized batch differential: an adversarial mined stream on an
+# n=5000 battery core, served per pair and in batches of 16 and 64
+# through a bare ReachService and a 2-shard ReachServer, all equal to a
+# BFS reference. The residue runs an unbounded PrunedMultiBfs per source
+# group, so a scratch-slot or frontier overrun there is a crash here.
+cmake --build "$SAN_DIR" -j "$(nproc)" --target reach_batch_test
+"$SAN_DIR"/tests/reach_batch_test
+
 # --- Concurrency tier under ThreadSanitizer: the multi-threaded
 # ReachServer tests, the epoch-swap-under-load tests, the
 # checkpoint-under-rebuild persistence test, the follower-catchup
